@@ -115,7 +115,7 @@ def bench_ring_decode_cp4(benchmark):
     )
 
     def run():
-        return ring_passq_decode(SimProcessGroup(world), kvs, batch, block_size=64)
+        return ring_passq_decode(SimProcessGroup(world), kvs, batch)
 
     benchmark(run)
 
@@ -150,7 +150,7 @@ def bench_runtime_decode_hotloop(benchmark):
 
     def run():
         return [
-            ring_passq_decode(group, kvs, batch, step=step, block_size=64)
+            ring_passq_decode(group, kvs, batch, step=step)
             for step in range(4)
         ]
 

@@ -127,7 +127,7 @@ class AllocatorSanitizer:
     # ---- wrapping ------------------------------------------------------
 
     def _wrap(self) -> None:
-        for name in ("append", "share", "release", "release_tail"):
+        for name in ("append", "share", "release", "release_tail", "grow"):
             orig = getattr(self.alloc, name)
             wrapper = getattr(self, f"_checked_{name}")
 
@@ -281,6 +281,9 @@ class AllocatorSanitizer:
         self.fill[key] = new_fill
         self._sim_unref(dropped)
 
+    def _sim_grow(self, total: int, extra_blocks: int) -> None:
+        self.free[:0] = range(total + extra_blocks - 1, total - 1, -1)
+
     # ---- checked operations --------------------------------------------
 
     def _run(self, orig, op: str, *args, specific=None):
@@ -370,6 +373,15 @@ class AllocatorSanitizer:
         self.trace.record(op)
         return result
 
+    def _checked_grow(self, orig, extra_blocks: int):
+        op = self._op(f"grow(extra_blocks={extra_blocks})")
+        total = self.alloc.num_blocks
+        result = self._run(orig, op, extra_blocks)
+        self._sim_grow(total, extra_blocks)
+        self._post_checks(op)
+        self.trace.record(op)
+        return result
+
     # ---- drain / leak checks -------------------------------------------
 
     def verify(self) -> None:
@@ -419,8 +431,6 @@ class KVSanitizer:
         self.rank_sanitizers: list[AllocatorSanitizer] = []
         for rank, cache in enumerate(engine.caches):
             alloc = cache._allocator
-            if alloc is None:
-                continue
             existing = getattr(alloc, "_sanitizer", None)
             if existing is not None:
                 self.rank_sanitizers.append(existing)

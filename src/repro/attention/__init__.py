@@ -13,6 +13,9 @@ ring algorithms in :mod:`repro.core` are built on:
 - :mod:`repro.attention.flash` — a blocked online-softmax kernel that returns
   ``(O, LSE)`` pairs, mirroring the FlashAttention-3 / Flash-Decoding
   contract the paper relies on for partial-attention merging.
+- :mod:`repro.attention.decode` — the batched-decode kernel: each query
+  gathers only its own sequence's keys through a per-shard segment index
+  (PagedAttention-style) instead of sweeping the shard under a dense mask.
 - :mod:`repro.attention.online_softmax` — the streaming softmax accumulator
   (Milakov & Gimelshein 2018) shared by the flash kernel and merge attention.
 - :mod:`repro.attention.rope` — rotary position embeddings applied by the
@@ -20,6 +23,7 @@ ring algorithms in :mod:`repro.core` are built on:
 - :mod:`repro.attention.gqa` — grouped-query-attention head bookkeeping.
 """
 
+from repro.attention.decode import KVSegments, decode_attention, kv_segments
 from repro.attention.flash import AttentionResult, flash_attention
 from repro.attention.gqa import expand_kv_heads, kv_head_for_query_head, validate_gqa_shapes
 from repro.attention.masks import attention_mask, causal_mask
@@ -30,13 +34,16 @@ from repro.attention.windowed import windowed_attention_mask_fn, windowed_mask
 
 __all__ = [
     "AttentionResult",
+    "KVSegments",
     "OnlineSoftmaxState",
     "apply_rope",
     "attention_mask",
     "causal_mask",
+    "decode_attention",
     "expand_kv_heads",
     "flash_attention",
     "kv_head_for_query_head",
+    "kv_segments",
     "reference_attention",
     "reference_attention_with_lse",
     "rope_frequencies",

@@ -115,7 +115,8 @@ class ContextParallelEngine:
         heuristic: hardware constants for the pass-KV/pass-Q selector.
         selector: which published selector the planner runs.
         capacity_tokens: optional per-rank KV capacity (OOM experiments).
-        block_size: local flash kernel block size.
+        block_size: block size of the prefill flash kernel (decode reads
+            each sequence in one gather and has no block loop).
         quantized_kv_cache: store KV int8-quantized (2x capacity, slightly
             lossy logits; see :mod:`repro.kvcache.quantized`).
         compute_dtype: attention-kernel arithmetic dtype threaded through
@@ -351,7 +352,7 @@ class ContextParallelEngine:
             batch = DecodeBatch(q=q_batch, positions=positions, seq_ids=seq_arr)
             result, _ = ring_passq_decode(
                 self.group, kv_shards, batch, step=self.decode_steps,
-                block_size=self.block_size, compute_dtype=self.compute_dtype,
+                compute_dtype=self.compute_dtype,
             )
             for rank, slots in enumerate(rank_slots):
                 if slots.size == 0:
@@ -805,8 +806,8 @@ class ContextParallelEngine:
         - every cached sequence id on every rank is tracked in
           ``seq_lengths``, and its per-rank cached tokens sum to the
           tracked length (no orphaned KV, no length drift);
-        - with no resident sequences, every bounded rank's paged
-          allocator is fully free (no leaked block refcounts);
+        - with no resident sequences, every rank's paged allocator is
+          fully free (no leaked block refcounts);
         - every radix anchor describes a resident sequence, never more
           tokens than are committed, and every pin targets an anchor
           (no dangling donors or stale pins).
@@ -817,13 +818,12 @@ class ContextParallelEngine:
                 if sid not in self.seq_lengths:
                     problems.append(f"rank {rank}: orphaned KV for untracked seq {sid}")
             alloc = cache._allocator
-            if alloc is not None:
-                problems.extend(f"rank {rank}: {p}" for p in alloc.audit())
-                if not self.seq_lengths and alloc.used_blocks:
-                    problems.append(
-                        f"rank {rank}: {alloc.used_blocks} blocks leaked with no "
-                        "resident sequences"
-                    )
+            problems.extend(f"rank {rank}: {p}" for p in alloc.audit())
+            if not self.seq_lengths and alloc.used_blocks:
+                problems.append(
+                    f"rank {rank}: {alloc.used_blocks} blocks leaked with no "
+                    "resident sequences"
+                )
         for sid, length in sorted(self.seq_lengths.items()):
             resident = sum(cache.tokens(sid) for cache in self.caches)
             if resident != length:

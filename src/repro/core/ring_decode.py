@@ -13,6 +13,12 @@ at decode step ``t``, the token of batch slot ``b`` is owned by rank
 ``T = 1`` per sequence, circulating Q (plus the batch ids, Algorithm 4) is
 essentially always cheaper than circulating KV (Equation 1), so decode uses
 the pass-Q ring followed by the same permute + All2All + merge as prefill.
+
+The local kernel at each ring step is
+:func:`repro.attention.decode.decode_attention`: each rank indexes its
+resident shard by sequence once per call, and every ring step gathers each
+visiting query's own sequence through that index instead of sweeping the
+whole shard under a dense mask (prefill keeps the blocked flash kernel).
 """
 
 from __future__ import annotations
@@ -21,10 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.attention.flash import AttentionResult, flash_attention
+from repro.attention.decode import decode_attention, kv_segments
+# flash_attention is unused here but stays in this module's namespace:
+# perfbench/layers.py wraps every ring module's flash_attention by name.
+from repro.attention.flash import AttentionResult, flash_attention  # noqa: F401
 from repro.attention.masks import PAD_SEQ
 from repro.core.merge import merge_partials
-from repro.core.ring_skip import kv_reach, partial_fully_masked, query_reach
+from repro.core.ring_skip import partial_fully_masked, query_reach
 from repro.core.sharding import ShardedKV, ShardedQueries
 from repro.distributed.process_group import SimProcessGroup
 from repro.distributed.ring import source_rank_at_step
@@ -81,8 +90,6 @@ def ring_passq_decode(
     *,
     step: int = 0,
     scale: float | None = None,
-    block_size: int = 128,
-    num_kv_splits: int = 1,
     mask_fn=None,
     compute_dtype=None,
     skip_masked_shards: bool = True,
@@ -99,14 +106,13 @@ def ring_passq_decode(
         batch: this iteration's single-token-per-sequence queries.
         step: decode iteration index, drives the round-robin offset.
         scale: attention score scale (default ``1/sqrt(DH)``).
-        block_size: KV block size of the local kernel.
-        num_kv_splits: Flash-Decoding style split-KV factor for the local
-            kernel (the paper uses 256 splits on H100).
         mask_fn: optional absolute-coordinate mask override — e.g. a
             windowed/sink mask for StreamingLLM-style decode; composes with
-            the ring because masks never depend on storage order.
-        compute_dtype: kernel arithmetic dtype forwarded to the local flash
-            kernel (merge accumulation stays float64; default exact fp64).
+            the ring because masks never depend on storage order. It may
+            only restrict attention within a sequence (the kernel never
+            visits other sequences' keys).
+        compute_dtype: arithmetic dtype of the local decode kernel (merge
+            accumulation stays float64; default exact fp64).
         skip_masked_shards: replace provably all-masked ring-step partials
             with the exact identity element instead of calling the kernel —
             in decode this mostly fires for all-pad query payloads (when
@@ -145,12 +151,17 @@ def ring_passq_decode(
     traveling = list(local)
     computed: list[dict[int, AttentionResult]] = [dict() for _ in range(n)]
 
-    # Causal-reach summaries, one scan per shard (local[s] is the payload
-    # originating at rank s; the ring schedule recovers the origin later).
+    # One per-sequence segment index per resident shard, reused by every
+    # ring step; the causal-reach summaries come from the same index
+    # (local[s] is the payload originating at rank s; the ring schedule
+    # recovers the origin later).
+    segments = [kv_segments(kv.seq_ids) for kv in kv_shards]
     skip = skip_masked_shards and mask_fn is None
     if skip:
         q_summary = [query_reach(p["pos"], p["seq"]) for p in local]
-        k_summary = [kv_reach(kv.positions, kv.seq_ids) for kv in kv_shards]
+        k_summary = [
+            seg.min_positions(kv.positions) for seg, kv in zip(segments, kv_shards)
+        ]
 
     for j in range(n):
         for rank in range(n):
@@ -160,7 +171,7 @@ def ring_passq_decode(
                 computed[rank][src] = AttentionResult.empty(per_rank, nh, dh)
                 continue
             kv = kv_shards[rank]
-            computed[rank][src] = flash_attention(
+            computed[rank][src] = decode_attention(
                 q["q"],
                 kv.k,
                 kv.v,
@@ -168,10 +179,8 @@ def ring_passq_decode(
                 k_pos=kv.positions,
                 q_seq=q["seq"],
                 k_seq=kv.seq_ids,
-                causal=True,
+                segments=segments[rank],
                 scale=scale,
-                block_size=block_size,
-                num_kv_splits=num_kv_splits,
                 mask_fn=mask_fn,
                 compute_dtype=compute_dtype,
             )

@@ -11,6 +11,13 @@ Payloads are arbitrary nests of ``list`` / ``tuple`` / ``dict`` containing
 NumPy arrays. Byte accounting uses a configurable *logical* element size
 (default 2 bytes, bf16) rather than the arrays' in-memory float64, so traced
 traffic matches what the paper's wire format would carry.
+
+Delivery is zero-copy. A real network cannot alias a sender's and a
+receiver's buffers; instead of copying every payload to model that, the
+collectives freeze each payload array (``writeable=False``) and hand the
+same buffer to the receiver inside freshly built containers. A write
+through a sent or received buffer then raises ``ValueError`` — a stronger
+check than a silent copy, which would hide the write.
 """
 
 from __future__ import annotations
@@ -42,6 +49,29 @@ def payload_elements(payload: Any) -> int:
             payload_elements(getattr(payload, f.name)) for f in dataclasses.fields(payload)
         )
     raise TypeError(f"unsupported payload type {type(payload)!r}")
+
+
+def freeze_payload(payload: Any) -> Any:
+    """The payload as delivered: every array frozen read-only (in place,
+    so the sender's reference is frozen too) inside fresh containers.
+
+    Scalars and other immutable leaves pass through unchanged.
+    """
+    if isinstance(payload, np.ndarray):
+        payload.flags.writeable = False
+        return payload
+    if isinstance(payload, list):
+        return [freeze_payload(p) for p in payload]
+    if isinstance(payload, tuple):
+        return tuple(freeze_payload(p) for p in payload)
+    if isinstance(payload, dict):
+        return {key: freeze_payload(value) for key, value in payload.items()}
+    if dataclasses.is_dataclass(payload) and not isinstance(payload, type):
+        delivered = copy.copy(payload)
+        for f in dataclasses.fields(payload):
+            object.__setattr__(delivered, f.name, freeze_payload(getattr(payload, f.name)))
+        return delivered
+    return payload
 
 
 class SimProcessGroup:
@@ -116,12 +146,11 @@ class SimProcessGroup:
 
         Every rank sends and receives simultaneously (full-duplex links), so
         the simulated duration of the step is the max single-message time.
-        Returns the received payloads, deep-copied to enforce no-aliasing
-        between ranks (a real network cannot alias buffers).
+        Returns the received payloads, frozen read-only (see module doc).
         """
         self._check_world(payloads)
         if self.world_size == 1:
-            return [copy.deepcopy(payloads[0])]
+            return [freeze_payload(payloads[0])]
         max_nbytes = max(self.payload_nbytes(p) for p in payloads)
         self.tracer.record(
             "sendrecv",
@@ -130,7 +159,7 @@ class SimProcessGroup:
             duration=self._xfer_time(max_nbytes),
             tag=tag,
         )
-        return [copy.deepcopy(payloads[(k - 1) % self.world_size]) for k in range(self.world_size)]
+        return [freeze_payload(payloads[(k - 1) % self.world_size]) for k in range(self.world_size)]
 
     def all_to_all(self, matrix: Sequence[Sequence[Any]], *, tag: str = "") -> list[list[Any]]:
         """All-to-all personalised exchange.
@@ -159,7 +188,7 @@ class SimProcessGroup:
                 tag=tag,
             )
         return [
-            [copy.deepcopy(matrix[src][dst]) for src in range(self.world_size)]
+            [freeze_payload(matrix[src][dst]) for src in range(self.world_size)]
             for dst in range(self.world_size)
         ]
 
@@ -179,8 +208,7 @@ class SimProcessGroup:
                 duration=(self.world_size - 1) * self._xfer_time(shard),
                 tag=tag,
             )
-        gathered = [copy.deepcopy(p) for p in payloads]
-        return [copy.deepcopy(gathered) for _ in range(self.world_size)]
+        return [[freeze_payload(p) for p in payloads] for _ in range(self.world_size)]
 
     def all_reduce_sum(self, arrays: Sequence[np.ndarray], *, tag: str = "") -> list[np.ndarray]:
         """Sum-reduce an array across ranks (ring AllReduce cost: 2(N-1)/N)."""

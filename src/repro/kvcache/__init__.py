@@ -9,9 +9,9 @@ decode:
 - :mod:`repro.kvcache.paged` — a paged block allocator in the style of
   PagedAttention (Kwon et al. 2023), which the paper cites as the standard
   memory-management substrate for long-context serving.
-- :mod:`repro.kvcache.cache` — :class:`RankKVCache`, a per-rank, per-layer,
-  per-sequence KV store with position/seq-id bookkeeping and capacity (OOM)
-  accounting, backed by the paged allocator.
+- :mod:`repro.kvcache.cache` — :class:`RankKVCache`, a per-rank KV store
+  keeping every layer's K/V and positions in block pools; the paged
+  allocator's block tables are its index and its capacity (OOM) authority.
 - :mod:`repro.kvcache.prefix_index` — :class:`PrefixIndex`, a radix tree
   over committed token ids that lets requests *share* resident KV
   (SGLang-RadixAttention / Mooncake style): the allocator refcounts shared

@@ -1,4 +1,4 @@
-"""Per-rank persistent KV cache.
+"""Per-rank persistent KV cache on a paged block pool.
 
 Each CP rank owns one :class:`RankKVCache` holding, for every transformer
 layer and every live sequence, the K/V projections of the tokens *sharded to
@@ -8,61 +8,40 @@ along with the tensors so ring attention can mask exactly regardless of how
 turns interleaved (the "load-balanced sharding for persistent KV cache"
 contribution of the paper).
 
-Capacity is enforced through a shared :class:`repro.kvcache.paged.PagedAllocator`
-whose pool is sized from HBM bytes; exceeding it raises
+Storage is the PagedAttention layout (Kwon et al. 2023, cited in §2.2):
+every layer keeps K/V — int8 codes plus per-(token, head) scales in
+quantized mode — and absolute positions in ``[num_blocks, block_size, ...]``
+pools, and the rank's :class:`repro.kvcache.paged.PagedAllocator` is the
+index into them: a sequence's block list is its block table, shared by all
+layers (every layer stores the same token set). Positions along a
+sequence's stream only increase, so a stream is always in position order
+and
+
+- prefix sharing is :meth:`PagedAllocator.share`, a refcount bump;
+- tail eviction is :meth:`PagedAllocator.release_tail`, and whole eviction
+  :meth:`PagedAllocator.release`;
+- copy-on-write (an append into a shared, partly filled last block)
+  copies that one block;
+- :meth:`RankKVCache.get` is one gather per tensor, sequence by sequence
+  in position order.
+
+A bounded cache sizes its pool from ``capacity_tokens``; exceeding it raises
 :class:`CacheCapacityError`, which the decode-balance tests use to show the
 round-robin scheme postpones OOM versus pinning decode to one rank (§3.6).
+An unbounded cache doubles its pool whenever an append would not fit.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.core.sharding import ShardedKV
 from repro.kvcache.paged import OutOfBlocksError, PagedAllocator
+from repro.kvcache.quantized import QuantizedKV, dequantize_kv, quantize_kv
 
 
 class CacheCapacityError(RuntimeError):
     """A rank's KV pool overflowed."""
-
-
-@dataclass
-class _Stream:
-    """KV storage for one (layer, sequence) stream, chunk-appended.
-
-    Chunks are either float arrays (dense mode) or
-    :class:`repro.kvcache.quantized.QuantizedKV` records (quantized mode);
-    ``pos_chunks`` always holds positions.
-    """
-
-    k_chunks: list = field(default_factory=list)
-    v_chunks: list = field(default_factory=list)
-    pos_chunks: list[np.ndarray] = field(default_factory=list)
-
-    def tokens(self) -> int:
-        return sum(c.shape[0] for c in self.pos_chunks)
-
-
-def _mask_chunk(k, v, keep: np.ndarray, *, quantized: bool):
-    """Select ``keep`` rows of one KV chunk, dense or quantized.
-
-    Always materialises fresh arrays (never a view), so the source chunk
-    — possibly referenced by another stream via prefix sharing — is left
-    untouched: chunk-level copy-on-write.
-    """
-    if quantized:
-        from repro.kvcache.quantized import QuantizedKV
-
-        sliced = QuantizedKV(
-            k_codes=k.k_codes[keep],
-            v_codes=k.v_codes[keep],
-            k_scales=k.k_scales[keep],
-            v_scales=k.v_scales[keep],
-        )
-        return sliced, sliced
-    return k[keep], v[keep]
 
 
 class RankKVCache:
@@ -76,7 +55,7 @@ class RankKVCache:
         capacity_tokens: optional per-rank token budget, enforced per layer
             (every layer stores the same token set, so one layer's pool is
             the binding constraint). ``None`` = unbounded.
-        block_size: paged-allocator block size in tokens.
+        block_size: tokens per pool block.
         quantized: store KV int8-quantized per (token, head) (paper §2.2's
             memory lever); reads dequantize transparently, trading exact
             logits for ~2x KV capacity.
@@ -100,13 +79,24 @@ class RankKVCache:
         self.capacity_tokens = capacity_tokens
         self.block_size = block_size
         self.quantized = quantized
-        self._streams: dict[tuple[int, int], _Stream] = {}
         num_blocks = 0 if capacity_tokens is None else -(-capacity_tokens // block_size)
-        self._allocator = (
-            None
-            if capacity_tokens is None
-            else PagedAllocator(num_blocks=num_blocks, block_size=block_size)
+        self._allocator = PagedAllocator(num_blocks=num_blocks, block_size=block_size)
+        kv, scale = (n_kv_heads, head_dim), (n_kv_heads,)
+        #: per-token row shape and dtype of each pool
+        self._rows: dict[str, tuple[tuple[int, ...], type]] = (
+            {"k": (kv, np.int8), "v": (kv, np.int8),
+             "k_scale": (scale, np.float64), "v_scale": (scale, np.float64)}
+            if quantized
+            else {"k": (kv, np.float64), "v": (kv, np.float64)}
         )
+        self._rows["pos"] = ((), np.int64)
+        self._pools: dict[str, np.ndarray] = {}
+        self._resize(num_blocks)
+        #: per-layer ``{seq_id: tokens stored}``; only non-empty streams
+        self._fill: list[dict[int, int]] = [{} for _ in range(n_layers)]
+        #: ``{seq_id: token slots of its block table}``; dropped whenever
+        #: the table changes and rebuilt on the next read
+        self._tables: dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------------------ #
 
@@ -121,9 +111,11 @@ class RankKVCache:
         """Append projected KV for tokens of ``seq_id`` at ``layer``.
 
         Raises:
-            CacheCapacityError: when the paged pool is exhausted (only
-                layer 0 is charged against the allocator; all layers hold
-                identical token counts).
+            ValueError: bad shapes, or ``positions`` that do not strictly
+                increase past the stream's last stored position.
+            CacheCapacityError: when the paged pool is exhausted (a layer
+                claims blocks only once it outgrows the sequence's block
+                table, so all layers share one charge).
         """
         self._check_layer(layer)
         k = np.asarray(k)
@@ -137,88 +129,94 @@ class RankKVCache:
             )
         if positions.shape != (k.shape[0],):
             raise ValueError("positions must match token count")
-        if k.shape[0] == 0:
+        n = k.shape[0]
+        if n == 0:
             return
-        if layer == 0 and self._allocator is not None:
-            try:
-                self._allocator.append((seq_id,), k.shape[0])
-            except OutOfBlocksError as exc:
-                raise CacheCapacityError(str(exc)) from exc
-        stream = self._streams.setdefault((layer, seq_id), _Stream())
+        fills = self._fill[layer]
+        fill = fills.get(seq_id, 0)
+        last = self._flat["pos"][layer][self._slots(seq_id)[fill - 1]] if fill else -1
+        if positions[0] <= last or (n > 1 and np.any(positions[1:] <= positions[:-1])):
+            raise ValueError(
+                f"sequence {seq_id} layer {layer}: positions must increase along "
+                f"the stream (last stored {last}, got {positions.tolist()})"
+            )
+        extra = fill + n - self._allocator.stream_tokens((seq_id,))
+        if extra > 0:
+            self._claim(seq_id, extra)
+        slots = self._slots(seq_id)[fill : fill + n]
         if self.quantized:
-            from repro.kvcache.quantized import quantize_kv
-
-            record = quantize_kv(k, v)
-            stream.k_chunks.append(record)
-            stream.v_chunks.append(record)
+            rec = quantize_kv(k, v)
+            rows = {"k": rec.k_codes, "v": rec.v_codes,
+                    "k_scale": rec.k_scales, "v_scale": rec.v_scales}
         else:
-            stream.k_chunks.append(k)
-            stream.v_chunks.append(v)
-        stream.pos_chunks.append(positions)
+            rows = {"k": k, "v": v}
+        rows["pos"] = positions
+        for name, value in rows.items():
+            self._flat[name][layer][slots] = value
+        fills[seq_id] = fill + n
 
     def get(self, layer: int, seq_ids: list[int] | None = None) -> ShardedKV:
         """Fused :class:`ShardedKV` view of this rank's cache at ``layer``.
+
+        One gather through the block tables: sequence by sequence, each in
+        position order.
 
         Args:
             layer: transformer layer.
             seq_ids: restrict to these sequences (default: all, sorted).
         """
         self._check_layer(layer)
+        fills = self._fill[layer]
         if seq_ids is None:
-            seq_ids = sorted({sid for (lyr, sid) in self._streams if lyr == layer})
-        ks, vs, ps, ss = [], [], [], []
+            seq_ids = sorted(fills)
+        present, counts, parts = [], [], []
         for sid in seq_ids:
-            stream = self._streams.get((layer, sid))
-            if stream is None or not stream.k_chunks:
-                continue
-            n = stream.tokens()
-            if self.quantized:
-                from repro.kvcache.quantized import dequantize_kv
-
-                dk, dv = zip(*(dequantize_kv(rec) for rec in stream.k_chunks))
-                ks.append(np.concatenate(dk, axis=0))
-                vs.append(np.concatenate(dv, axis=0))
-            else:
-                ks.append(np.concatenate(stream.k_chunks, axis=0))
-                vs.append(np.concatenate(stream.v_chunks, axis=0))
-            ps.append(np.concatenate(stream.pos_chunks))
-            ss.append(np.full(n, sid, dtype=np.int64))
-        if not ks:
+            n = fills.get(sid, 0)
+            if n:
+                present.append(sid)
+                counts.append(n)
+                parts.append(self._slots(sid)[:n])
+        if not parts:
             return ShardedKV.empty(self.n_kv_heads, self.head_dim)
+        idx = np.concatenate(parts) if len(parts) > 1 else parts[0]
+        flat = self._flat
+        k, v = flat["k"][layer][idx], flat["v"][layer][idx]
+        if self.quantized:
+            k, v = dequantize_kv(QuantizedKV(
+                k_codes=k, v_codes=v,
+                k_scales=flat["k_scale"][layer][idx], v_scales=flat["v_scale"][layer][idx],
+            ))
         return ShardedKV(
-            k=np.concatenate(ks, axis=0),
-            v=np.concatenate(vs, axis=0),
-            positions=np.concatenate(ps),
-            seq_ids=np.concatenate(ss),
+            k=k,
+            v=v,
+            positions=flat["pos"][layer][idx],
+            seq_ids=np.repeat(np.asarray(present, dtype=np.int64), counts),
         )
 
     # ------------------------------------------------------------------ #
 
     def tokens(self, seq_id: int, layer: int = 0) -> int:
         """Tokens cached for ``seq_id`` at ``layer`` on this rank."""
-        stream = self._streams.get((layer, seq_id))
-        return 0 if stream is None else stream.tokens()
+        return self._fill[layer].get(seq_id, 0)
 
     def total_tokens(self, layer: int = 0) -> int:
         """Total tokens cached at ``layer`` across sequences."""
-        return sum(
-            stream.tokens() for (lyr, _), stream in self._streams.items() if lyr == layer
-        )
+        return sum(self._fill[layer].values())
 
     def free_tokens(self) -> int | None:
         """Remaining appendable tokens, or ``None`` when unbounded."""
-        if self._allocator is None:
+        if self.capacity_tokens is None:
             return None
         return self._allocator.free_tokens()
 
     def utilization(self) -> float | None:
         """Claimed fraction of this rank's block pool (``None`` = unbounded)."""
-        if self._allocator is None:
+        if self.capacity_tokens is None:
             return None
         return self._allocator.utilization()
 
     def sequence_ids(self, layer: int = 0) -> list[int]:
-        return sorted({sid for (lyr, sid) in self._streams if lyr == layer})
+        return sorted(self._fill[layer])
 
     def can_append(self, demands: dict[int, int]) -> bool:
         """Whether per-sequence token demands fit in this rank's pool.
@@ -234,22 +232,19 @@ class RankKVCache:
         decision (preempt / wait) instead of a mid-layer
         :class:`CacheCapacityError`.
         """
-        if self._allocator is None:
+        if self.capacity_tokens is None:
             return True
         return self._allocator.fits({(sid,): n for sid, n in demands.items()})
 
     def share_prefix(self, src_seq: int, dst_seq: int, upto_pos: int) -> int:
         """Reference ``src_seq``'s cached KV below ``upto_pos`` as ``dst_seq``.
 
-        Prefix sharing: the destination stream is built from the *same*
-        chunk arrays the source stream holds (full chunks by reference —
-        chunks are append-only, so aliasing is safe; a chunk straddling
-        ``upto_pos`` is sliced into a fresh array), and the paged
-        allocator accounts the shared span once via block refcounts
-        (:meth:`repro.kvcache.paged.PagedAllocator.share`). Appends to
-        either stream never mutate shared state: new chunks extend only
-        the appending stream, and the allocator copy-on-write splits a
-        shared last block.
+        Prefix sharing: ``dst_seq``'s block table becomes the first blocks
+        of ``src_seq``'s, each refcount bumped
+        (:meth:`repro.kvcache.paged.PagedAllocator.share`); no KV is copied
+        and the shared span occupies the pool once. Appends to either
+        stream never mutate shared blocks: an append into a shared, partly
+        filled last block first copies that one block (copy-on-write).
 
         Args:
             src_seq: resident donor sequence.
@@ -265,48 +260,27 @@ class RankKVCache:
             raise ValueError(f"upto_pos must be >= 1, got {upto_pos}")
         if src_seq == dst_seq:
             raise ValueError(f"cannot share sequence {src_seq} with itself")
-        if any(sid == dst_seq for (_lyr, sid) in self._streams):
+        if any(dst_seq in fills for fills in self._fill):
             raise ValueError(f"sequence {dst_seq} already cached on this rank")
-        shared = 0
-        for layer in range(self.n_layers):
-            stream = self._streams.get((layer, src_seq))
-            if stream is None:
-                continue
-            k_chunks, v_chunks, pos_chunks = [], [], []
-            n = 0
-            for k, v, pos in zip(stream.k_chunks, stream.v_chunks, stream.pos_chunks):
-                keep = pos < upto_pos
-                n_keep = int(keep.sum())
-                if n_keep == 0:
-                    continue
-                if n_keep == pos.size:
-                    k_chunks.append(k)
-                    v_chunks.append(v)
-                    pos_chunks.append(pos)
-                else:
-                    ks, vs = _mask_chunk(k, v, keep, quantized=self.quantized)
-                    k_chunks.append(ks)
-                    v_chunks.append(vs)
-                    pos_chunks.append(pos[keep])
-                n += n_keep
-            if n == 0:
-                continue
-            self._streams[(layer, dst_seq)] = _Stream(k_chunks, v_chunks, pos_chunks)
-            if layer == 0:
-                shared = n
-        if shared and self._allocator is not None:
-            self._allocator.share((src_seq,), (dst_seq,), shared)
-        return shared
+        kept = [self._count_below(layer, src_seq, upto_pos) for layer in range(self.n_layers)]
+        if not any(kept):
+            return 0
+        self._allocator.share((src_seq,), (dst_seq,), max(kept))
+        self._tables.pop(dst_seq, None)
+        for fills, n in zip(self._fill, kept):
+            if n:
+                fills[dst_seq] = n
+        return kept[0]
 
     def drop_tail(self, seq_id: int, from_pos: int) -> int:
         """Evict every cached token of ``seq_id`` at position ``>= from_pos``.
 
         Partial (tail) eviction: the prefix this rank holds below
-        ``from_pos`` stays resident, and only the whole allocator blocks
-        the dropped tokens vacate return to the pool. Positions are
-        absolute, so the tokens dropped here are exactly this rank's share
-        of the sequence's global tail regardless of how sharding
-        interleaved them into the stream.
+        ``from_pos`` stays resident, and only the whole blocks the dropped
+        tokens vacate return to the pool. Positions are absolute and
+        increase along the stream, so the tokens dropped here are a suffix
+        of the stream: exactly this rank's share of the sequence's global
+        tail, however sharding interleaved it.
 
         Returns:
             Tokens dropped at layer 0 (every layer stores the same token
@@ -314,39 +288,26 @@ class RankKVCache:
         """
         if from_pos < 0:
             raise ValueError(f"from_pos must be >= 0, got {from_pos}")
-        freed = 0
-        for layer in range(self.n_layers):
-            stream = self._streams.get((layer, seq_id))
-            if stream is None:
+        dropped = 0
+        for layer, fills in enumerate(self._fill):
+            n = fills.get(seq_id, 0)
+            keep = self._count_below(layer, seq_id, from_pos)
+            if keep == n:
                 continue
-            dropped = 0
-            k_chunks, v_chunks, pos_chunks = [], [], []
-            for k, v, pos in zip(stream.k_chunks, stream.v_chunks, stream.pos_chunks):
-                keep = pos < from_pos
-                n_keep = int(keep.sum())
-                dropped += pos.size - n_keep
-                if n_keep == pos.size:
-                    k_chunks.append(k)
-                    v_chunks.append(v)
-                    pos_chunks.append(pos)
-                elif n_keep > 0:
-                    ks, vs = _mask_chunk(k, v, keep, quantized=self.quantized)
-                    k_chunks.append(ks)
-                    v_chunks.append(vs)
-                    pos_chunks.append(pos[keep])
-            if dropped == 0:
-                continue
-            if pos_chunks:
-                stream.k_chunks = k_chunks
-                stream.v_chunks = v_chunks
-                stream.pos_chunks = pos_chunks
-            else:
-                del self._streams[(layer, seq_id)]
             if layer == 0:
-                freed = dropped
-        if freed and self._allocator is not None:
-            self._allocator.release_tail((seq_id,), freed)
-        return freed
+                dropped = n - keep
+            if keep:
+                fills[seq_id] = keep
+            else:
+                del fills[seq_id]
+        key = (seq_id,)
+        surplus = self._allocator.stream_tokens(key) - max(
+            layer_fills.get(seq_id, 0) for layer_fills in self._fill
+        )
+        if surplus > 0:
+            self._allocator.release_tail(key, surplus)
+            self._tables.pop(seq_id, None)
+        return dropped
 
     def drop(self, seq_id: int) -> int:
         """Evict a sequence from all layers and release its blocks.
@@ -357,11 +318,66 @@ class RankKVCache:
             runtime uses the return value for eviction accounting.
         """
         freed = self.tokens(seq_id)
-        for layer in range(self.n_layers):
-            self._streams.pop((layer, seq_id), None)
-        if self._allocator is not None:
-            self._allocator.release((seq_id,))
+        for fills in self._fill:
+            fills.pop(seq_id, None)
+        self._tables.pop(seq_id, None)
+        self._allocator.release((seq_id,))
         return freed
+
+    # ------------------------------------------------------------------ #
+
+    def _slots(self, seq_id: int) -> np.ndarray:
+        """Pool token slots of ``seq_id``'s block table, in stream order."""
+        slots = self._tables.get(seq_id)
+        if slots is None:
+            blocks = np.asarray(self._allocator.stream_blocks((seq_id,)), dtype=np.int64)
+            bs = self.block_size
+            slots = self._tables[seq_id] = (blocks[:, None] * bs + np.arange(bs)).ravel()
+        return slots
+
+    def _count_below(self, layer: int, seq_id: int, pos: int) -> int:
+        """Stored tokens of ``seq_id`` at ``layer`` with position ``< pos``."""
+        n = self._fill[layer].get(seq_id, 0)
+        if n == 0:
+            return 0
+        stored = self._flat["pos"][layer][self._slots(seq_id)[:n]]
+        return int(np.searchsorted(stored, pos))
+
+    def _claim(self, seq_id: int, n: int) -> None:
+        """Charge ``n`` more tokens to ``seq_id``'s block table."""
+        key = (seq_id,)
+        alloc = self._allocator
+        if self.capacity_tokens is None and not alloc.fits({key: n}):
+            while not alloc.fits({key: n}):
+                alloc.grow(max(alloc.num_blocks, 1))
+            self._resize(alloc.num_blocks)
+        held = len(self._slots(seq_id)) // self.block_size
+        last = alloc.block_at(key, held - 1) if held else -1
+        try:
+            alloc.append(key, n)
+        except OutOfBlocksError as exc:
+            del self._tables[seq_id]
+            raise CacheCapacityError(str(exc)) from exc
+        fresh = alloc.block_at(key, held - 1) if held else -1
+        if fresh != last:  # copy-on-write split of a shared last block
+            for pool in self._pools.values():
+                pool[:, fresh] = pool[:, last]
+        if fresh != last or alloc.stream_tokens(key) > held * self.block_size:
+            del self._tables[seq_id]
+
+    def _resize(self, num_blocks: int) -> None:
+        """(Re)allocate the pools at ``num_blocks``, keeping their contents."""
+        for name, (row, dtype) in self._rows.items():
+            grown = np.zeros((self.n_layers, num_blocks, self.block_size, *row), dtype=dtype)
+            old = self._pools.get(name)
+            if old is not None:
+                grown[:, : old.shape[1]] = old
+            self._pools[name] = grown
+        #: token-slot views of the pools: slot = block * block_size + offset
+        self._flat = {
+            name: pool.reshape(self.n_layers, -1, *pool.shape[3:])
+            for name, pool in self._pools.items()
+        }
 
     def _check_layer(self, layer: int) -> None:
         if not 0 <= layer < self.n_layers:

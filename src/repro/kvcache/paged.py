@@ -3,8 +3,9 @@
 Long-context serving cannot reserve max-context-length contiguous buffers
 per sequence; the standard fix (Kwon et al. 2023, cited in §2.2) is to
 allocate KV memory in fixed-size token blocks on demand. This allocator
-tracks block ownership per (layer, sequence) stream and is the capacity
-authority behind :class:`repro.kvcache.cache.RankKVCache`: when the free
+tracks block ownership per sequence stream and is both the index and the
+capacity authority of :class:`repro.kvcache.cache.RankKVCache`: a stream's
+block list is its block table into the cache's K/V pools, and when the free
 list empties, the cache raises the OOM the paper's load-balancing work is
 designed to postpone (§3.6: without round-robin decode sharding, one rank
 OOMs before aggregate capacity is reached).
@@ -88,6 +89,10 @@ class PagedAllocator:
     def stream_blocks(self, key: tuple) -> tuple[int, ...]:
         """Block ids owned (possibly shared) by ``key``, oldest first."""
         return tuple(self._owners.get(key, ()))
+
+    def block_at(self, key: tuple, index: int) -> int:
+        """Block id at ``index`` of ``key``'s block list."""
+        return self._owners[key][index]
 
     def block_refcount(self, block: int) -> int:
         """How many streams reference ``block`` (0 = free/unknown)."""
@@ -211,6 +216,20 @@ class PagedAllocator:
         for b in shared:
             self._ref[b] += 1
         return len(shared)
+
+    def grow(self, extra_blocks: int) -> None:
+        """Add ``extra_blocks`` fresh blocks to the pool.
+
+        The new ids extend the range past ``num_blocks`` and are claimed
+        only after every block already free, so ids stay compact. An
+        unbounded :class:`repro.kvcache.cache.RankKVCache` doubles its pool
+        through this when an append would not fit.
+        """
+        if extra_blocks < 0:
+            raise ValueError(f"extra_blocks must be >= 0, got {extra_blocks}")
+        new_total = self.num_blocks + extra_blocks
+        self._free[:0] = range(new_total - 1, self.num_blocks - 1, -1)
+        self.num_blocks = new_total
 
     def fits(self, demands: dict[tuple, int]) -> bool:
         """Dry-run an :meth:`append` of ``demands[key]`` tokens per stream.

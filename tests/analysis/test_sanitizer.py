@@ -216,10 +216,10 @@ class TestEngineSanitizer:
         assert sum(c.tokens(0) for c in engine.caches) == 0
 
     def test_unbounded_engine_sanitizes_stream_level(self, tiny_model, rng):
-        engine = ContextParallelEngine(tiny_model, world_size=2)  # no allocator
+        engine = ContextParallelEngine(tiny_model, world_size=2)  # growing pools
         san = attach_sanitizer(engine)
-        assert san.rank_sanitizers == []
-        engine.prefill({0: rng.integers(0, 100, size=16)})
+        assert len(san.rank_sanitizers) == 2  # every cache owns an allocator
+        engine.prefill({0: rng.integers(0, 100, size=16)})  # grows under the shadow
         engine.seq_lengths.pop(0)
         with pytest.raises(SanitizerError) as exc:
             san.check_drained()

@@ -40,11 +40,26 @@ class TestRingShift:
             np.testing.assert_array_equal(shifted[k], payloads[(k - 1) % 4])
 
     def test_no_aliasing(self):
+        """Delivery is zero-copy, so aliasing is forbidden by freezing:
+        writes through the received or the sent buffer both raise."""
         g = SimProcessGroup(2)
         payloads = [np.zeros(3), np.ones(3)]
         shifted = g.ring_shift(payloads)
-        shifted[0][0] = 99.0
+        with pytest.raises(ValueError):
+            shifted[0][0] = 99.0
+        with pytest.raises(ValueError):
+            payloads[1][0] = 99.0
         assert payloads[1][0] == 1.0  # sender's buffer untouched
+
+    def test_zero_copy_in_fresh_containers(self):
+        g = SimProcessGroup(2)
+        payloads = [{"q": np.zeros(3), "meta": (np.arange(2), 7)} for _ in range(2)]
+        shifted = g.ring_shift(payloads)
+        assert shifted[1] is not payloads[0]
+        assert shifted[1]["q"] is payloads[0]["q"]  # same buffer, no copy
+        assert shifted[1]["meta"][1] == 7
+        shifted[1]["q"] = None  # rebinding a received container is local
+        assert payloads[0]["q"] is not None
 
     def test_singleton_world(self):
         g = SimProcessGroup(1)
@@ -81,6 +96,17 @@ class TestAllToAll:
         events = [e for e in g.tracer if e.kind == "all2all"]
         assert events[0].bytes == 5 * 2  # one off-diagonal payload per rank
 
+    def test_received_buffers_read_only(self):
+        g = SimProcessGroup(2)
+        matrix = [[np.zeros(2), np.zeros(2)], [np.zeros(2), np.zeros(2)]]
+        out = g.all_to_all(matrix)
+        for row in out:
+            for arr in row:
+                with pytest.raises(ValueError):
+                    arr[0] = 1.0
+        with pytest.raises(ValueError):
+            matrix[0][1][0] = 1.0
+
     def test_non_square_rejected(self):
         g = SimProcessGroup(2)
         with pytest.raises(ValueError):
@@ -94,6 +120,18 @@ class TestAllGather:
         for k in range(3):
             for s in range(3):
                 np.testing.assert_array_equal(out[k][s], np.full(2, s))
+
+    def test_dataclass_payload_frozen_and_rebuilt(self):
+        kv = ShardedKV(
+            k=np.zeros((2, 2, 4)), v=np.zeros((2, 2, 4)),
+            positions=np.arange(2), seq_ids=np.zeros(2, dtype=np.int64),
+        )
+        g = SimProcessGroup(2)
+        out = g.all_gather([kv, kv])
+        assert out[0][0] is not kv and out[0][0].k is kv.k
+        with pytest.raises(ValueError):
+            out[1][0].positions[0] = 5
+        assert g.tracer.total_bytes("allgather") == 2 * payload_elements(kv)
 
     def test_bytes_scale_with_world(self):
         g2 = SimProcessGroup(2, wire_bytes_per_element=2)

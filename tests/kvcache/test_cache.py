@@ -90,6 +90,20 @@ class TestCapacity:
         cache = make_cache()
         assert cache.free_tokens() is None
 
+    def test_unbounded_pool_doubles_and_keeps_contents(self):
+        cache = make_cache(block_size=4)
+        assert cache.utilization() is None
+        cache.append(0, 1, *kv_chunk(3, 1.0), np.arange(3))
+        blocks = cache._allocator.num_blocks
+        cache.append(0, 2, *kv_chunk(40, 2.0), np.arange(40))
+        cache.append(0, 1, *kv_chunk(30, 3.0), np.arange(3, 33))
+        assert cache._allocator.num_blocks > blocks
+        assert cache._allocator.audit() == []
+        got = cache.get(0, [1])
+        np.testing.assert_array_equal(got.positions, np.arange(33))
+        assert got.k[:3, 0, 0].tolist() == [1.0] * 3
+        assert got.k[3:, 0, 0].tolist() == [3.0] * 30
+
 
 class TestBookkeeping:
     def test_tokens_and_totals(self):
@@ -114,17 +128,17 @@ class TestDropTail:
     def test_drops_positions_at_or_above_cutoff(self):
         cache = make_cache()
         for layer in range(2):
-            # interleaved positions, as ring sharding produces
-            cache.append(layer, 1, *kv_chunk(3, 1.0), np.array([0, 5, 2]))
-            cache.append(layer, 1, *kv_chunk(2, 2.0), np.array([7, 3]))
+            # gapped positions, as load-balanced sharding leaves on a rank
+            cache.append(layer, 1, *kv_chunk(3, 1.0), np.array([0, 2, 3]))
+            cache.append(layer, 1, *kv_chunk(2, 2.0), np.array([5, 7]))
         freed = cache.drop_tail(1, from_pos=4)
         assert freed == 2  # positions 5 and 7 at layer 0
         for layer in range(2):
             got = cache.get(layer, [1])
-            assert sorted(got.positions.tolist()) == [0, 2, 3]
+            assert got.positions.tolist() == [0, 2, 3]
         # prefix values survive intact
         got = cache.get(0, [1])
-        assert got.k[got.positions.tolist().index(3), 0, 0] == 2.0
+        assert got.k[2, 0, 0] == 1.0
 
     def test_whole_chunk_dropped(self):
         cache = make_cache()
@@ -181,6 +195,17 @@ class TestValidation:
             cache.append(5, 1, *kv_chunk(1), np.array([0]))
         with pytest.raises(ValueError):
             cache.get(-1)
+
+    def test_positions_must_increase_along_stream(self):
+        cache = make_cache(capacity_tokens=16, block_size=4)
+        with pytest.raises(ValueError):
+            cache.append(0, 1, *kv_chunk(2), np.array([3, 1]))
+        cache.append(0, 1, *kv_chunk(2), np.array([4, 6]))
+        with pytest.raises(ValueError):
+            cache.append(0, 1, *kv_chunk(1), np.array([6]))
+        # a rejected append charges nothing
+        assert cache.tokens(1) == 2
+        assert cache.free_tokens() == 14
 
     def test_bad_shapes(self):
         cache = make_cache()

@@ -1,4 +1,4 @@
-"""Unit tests: RankKVCache prefix sharing (chunk aliasing + accounting)."""
+"""Unit tests: RankKVCache prefix sharing (shared blocks, COW, accounting)."""
 
 import numpy as np
 import pytest
@@ -34,23 +34,36 @@ class TestSharePrefix:
             np.testing.assert_array_equal(dst.v, src.v[keep])
             assert set(dst.seq_ids) == {1}
 
-    def test_full_chunks_are_aliased_not_copied(self):
-        cache = make_cache()
-        fill(cache, 0, np.arange(4))  # one whole chunk below the cut
-        fill(cache, 0, np.arange(4, 8))
-        cache.share_prefix(0, 1, 4)
-        src_chunk = cache._streams[(0, 0)].k_chunks[0]
-        dst_chunk = cache._streams[(0, 1)].k_chunks[0]
-        assert dst_chunk is src_chunk
+    def test_shared_blocks_are_referenced_not_copied(self):
+        cache = make_cache(capacity_tokens=64, block_size=4)
+        fill(cache, 0, np.arange(10))
+        used = cache._allocator.used_blocks
+        cache.share_prefix(0, 1, 8)  # two whole blocks
+        src = cache._allocator.stream_blocks((0,))
+        dst = cache._allocator.stream_blocks((1,))
+        assert dst == src[:2]
+        assert all(cache._allocator.block_refcount(b) == 2 for b in dst)
+        assert cache._allocator.block_refcount(src[2]) == 1
+        assert cache._allocator.used_blocks == used
 
-    def test_straddling_chunk_is_sliced_fresh(self):
-        cache = make_cache()
-        fill(cache, 0, np.arange(8))
-        cache.share_prefix(0, 1, 5)
-        src_chunk = cache._streams[(0, 0)].k_chunks[0]
-        dst_chunk = cache._streams[(0, 1)].k_chunks[0]
-        assert dst_chunk is not src_chunk
-        assert dst_chunk.shape[0] == 5
+    def test_cow_copies_exactly_one_block(self):
+        cache = make_cache(capacity_tokens=64, block_size=4)
+        fill(cache, 0, np.arange(10))
+        cache.share_prefix(0, 1, 6)  # the second shared block is partly used
+        before = cache.get(0, [0])
+        shared = cache._allocator.stream_blocks((1,))
+        used = cache._allocator.used_blocks
+        fill(cache, 1, np.arange(6, 8))  # fits the slack: one COW copy
+        after = cache._allocator.stream_blocks((1,))
+        assert after[0] == shared[0] and after[1] != shared[1]
+        assert cache._allocator.used_blocks == used + 1
+        assert cache._allocator.block_refcount(shared[0]) == 2
+        assert cache._allocator.block_refcount(shared[1]) == 1
+        donor = cache.get(0, [0])
+        np.testing.assert_array_equal(donor.k, before.k)
+        got = cache.get(0, [1])
+        np.testing.assert_array_equal(got.positions, np.arange(8))
+        np.testing.assert_array_equal(got.k[:6], before.k[:6])
 
     def test_allocator_accounts_shared_blocks_once(self):
         cache = make_cache(capacity_tokens=64, block_size=4)
